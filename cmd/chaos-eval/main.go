@@ -54,7 +54,7 @@ func main() {
 	spec := campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{
 		Trials: *trials, Levels: *levels, RootSeed: *seed,
 	}}
-	raw, err := cli.DispatchCampaign(context.Background(), "chaos-eval", *server, spec, *parallel, true)
+	raw, _, err := cli.DispatchCampaign(context.Background(), "chaos-eval", spec, campaign.DispatchOpts{Server: *server, Workers: *parallel}, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos-eval:", err)
 		os.Exit(1)

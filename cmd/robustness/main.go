@@ -11,9 +11,8 @@
 // running duid server — both byte-identical to inline execution at any
 // -parallel setting.
 //
-// -defense-eval renders the legacy cmd/defense-eval §5 countermeasure
-// report instead of the matrix (the three-system evaluation that command
-// used to compute on its own); the matrix driver subsumes it.
+// -defense-eval renders the §5 countermeasure report (E8) instead of the
+// matrix: the three-system point evaluation the matrix subsumes.
 package main
 
 import (
@@ -39,7 +38,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the canonical campaign result JSON instead of the table")
 		server   = flag.String("server", "", "submit the matrix to the duid server at this URL")
 		quick    = flag.Bool("quick", false, "reduced per-cell simulations for smoke runs")
-		legacy   = flag.Bool("defense-eval", false, "render the legacy cmd/defense-eval §5 report instead of the matrix")
+		legacy   = flag.Bool("defense-eval", false, "render the §5 countermeasure report (E8) instead of the matrix")
 	)
 	cli.Parse("robustness")
 
@@ -55,7 +54,7 @@ func main() {
 		RootSeed: *seed,
 		Quick:    *quick,
 	}}
-	raw, err := cli.DispatchCampaign(context.Background(), "robustness", *server, spec, *parallel, true)
+	raw, _, err := cli.DispatchCampaign(context.Background(), "robustness", spec, campaign.DispatchOpts{Server: *server, Workers: *parallel}, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "robustness:", err)
 		os.Exit(1)

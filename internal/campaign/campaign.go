@@ -63,10 +63,12 @@ type JobSpec struct {
 	Robustness *RobustnessSpec `json:"robustness,omitempty"`
 }
 
-// FuzzSpec is a scenario-fuzzing campaign (cmd/simfuzz inline, or the
-// fuzz job kind). Wall-clock budgets and checkpoint paths are
+// FuzzSpec is a scenario-fuzzing campaign (the fuzz job kind, which every
+// cmd/simfuzz mode runs). Wall-clock budgets and checkpoint paths are
 // deliberately absent: both are process-local concerns that would break
-// the pure-function-of-spec contract the result cache depends on.
+// the pure-function-of-spec contract the result cache depends on
+// (simfuzz's -budget is a context deadline, its -checkpoint the
+// Env.Journal).
 type FuzzSpec struct {
 	// Seeds is how many scenarios to draw and run (default 200).
 	Seeds int `json:"seeds"`

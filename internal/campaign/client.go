@@ -180,10 +180,10 @@ type DispatchOpts struct {
 	// Server, when non-empty, submits to the campaign server at this URL;
 	// empty runs inline via Execute.
 	Server string
-	// Workers and Shards configure inline execution (ignored with Server:
-	// the server's own configuration governs).
+	// Workers and Journal configure inline execution (see Env; ignored
+	// with Server: the server's own configuration and journals govern).
 	Workers int
-	Shards  int
+	Journal string
 	// OnProgress observes trial completion in both modes.
 	OnProgress func(Progress)
 }
@@ -194,7 +194,7 @@ type DispatchOpts struct {
 // drivers' -json and -server modes rely on.
 func Dispatch(ctx context.Context, spec JobSpec, o DispatchOpts) ([]byte, error) {
 	if o.Server == "" {
-		return Execute(ctx, spec, Env{Workers: o.Workers, Shards: o.Shards, OnProgress: o.OnProgress})
+		return Execute(ctx, spec, Env{Workers: o.Workers, Journal: o.Journal, OnProgress: o.OnProgress})
 	}
 	c := NewClient(o.Server)
 	st, err := c.Submit(ctx, spec)

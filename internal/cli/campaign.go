@@ -9,28 +9,29 @@ import (
 	"dui/internal/campaign"
 )
 
-// DispatchCampaign runs a campaign spec inline or — when server is
-// non-empty — through the duid server at that URL, and returns the
-// canonical result bytes. The two paths are byte-identical by
-// construction (see internal/campaign.Dispatch); this helper only adds
-// the drivers' shared stderr progress reporting, printed every 50
-// completed trials unless quiet.
-func DispatchCampaign(ctx context.Context, tool, server string, spec campaign.JobSpec, workers int, quiet bool) ([]byte, error) {
-	var onProgress func(campaign.Progress)
-	if !quiet {
-		var mu sync.Mutex
-		lastDone := -1
-		onProgress = func(p campaign.Progress) {
-			mu.Lock()
-			defer mu.Unlock()
-			if p.Done == lastDone || (p.Done%50 != 0 && p.Done != p.Total) {
-				return
-			}
-			lastDone = p.Done
-			fmt.Fprintf(os.Stderr, "%s: %d/%d trials\n", tool, p.Done, p.Total)
+// DispatchCampaign runs a campaign spec through campaign.Dispatch —
+// inline, or through the duid server named by o.Server — and returns the
+// canonical result bytes plus the last progress snapshot (whose Resumed
+// counts trials replayed from a journal). The two paths are
+// byte-identical by construction; this helper only adds the drivers'
+// shared stderr progress reporting, printed every 50 completed trials
+// unless quiet. It installs its own o.OnProgress.
+func DispatchCampaign(ctx context.Context, tool string, spec campaign.JobSpec, o campaign.DispatchOpts, quiet bool) ([]byte, campaign.Progress, error) {
+	var mu sync.Mutex
+	var last campaign.Progress
+	lastDone := -1
+	o.OnProgress = func(p campaign.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		last = p
+		if quiet || p.Done == lastDone || (p.Done%50 != 0 && p.Done != p.Total) {
+			return
 		}
+		lastDone = p.Done
+		fmt.Fprintf(os.Stderr, "%s: %d/%d trials\n", tool, p.Done, p.Total)
 	}
-	return campaign.Dispatch(ctx, spec, campaign.DispatchOpts{
-		Server: server, Workers: workers, OnProgress: onProgress,
-	})
+	res, err := campaign.Dispatch(ctx, spec, o)
+	mu.Lock()
+	defer mu.Unlock()
+	return res, last, err
 }

@@ -1,8 +1,6 @@
 package fuzz
 
 import (
-	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -28,91 +26,20 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-// On current (fixed) code, a campaign must come back clean: the oracles
-// have no false positives over the generator's whole behavior space.
-func TestCampaignCleanOnCurrentCode(t *testing.T) {
-	n := 100
-	if testing.Short() {
-		n = 25
-	}
-	res, err := Run(context.Background(), Config{Seeds: n, RootSeed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) > 0 {
-		f := res.Failures[0]
-		b, _ := json.Marshal(f.Scenario)
-		t.Fatalf("clean code produced %d failures; first: seed=%#x rule=%s %v\nscenario: %s",
-			len(res.Failures), f.Seed, f.Rule, f.Violations[0], b)
-	}
-	if res.Skipped != 0 {
-		t.Fatalf("%d trials skipped without a budget", res.Skipped)
-	}
-}
-
-// The headline acceptance property: re-introducing the PR 3 link-failure
-// queue-flush bug through its test-only hook, the fuzzer finds it within
-// 500 seeds, shrinks the reproducer to at most 4 nodes and 3 flows, and
-// produces the identical verdict on every worker count and rerun.
-func TestCampaignCatchesReintroducedFlushBug(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-hundred-seed campaign")
-	}
-	netsim.DebugHooks.DisableFailureFlush = true
-	defer func() { netsim.DebugHooks.DisableFailureFlush = false }()
-
-	run := func(workers int) *Result {
-		res, err := Run(context.Background(), Config{
-			Seeds: 500, RootSeed: 7, Workers: workers, Shrink: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestFaultModesDoNotPerturbClassicDraws pins the generator layering: for
+// any seed, the classic portion of the scenario is bit-identical with
+// FaultModes on or off — fault draws happen strictly after.
+func TestFaultModesDoNotPerturbClassicDraws(t *testing.T) {
+	for seed := uint64(0); seed < 100; seed++ {
+		off := Generate(seed, GenConfig{})
+		on := Generate(seed, GenConfig{FaultModes: true})
+		stripped := on.Clone()
+		stripped.Gray, stripped.Flaps, stripped.Degrades, stripped.Crashes = nil, nil, nil, nil
+		if !reflect.DeepEqual(*off, stripped) {
+			t.Fatalf("seed %d: FaultModes perturbed the classic draws", seed)
 		}
-		return res
-	}
-	res := run(4)
-	var hit *Failure
-	for i := range res.Failures {
-		if res.Failures[i].Rule == audit.RuleQueueSurvives {
-			hit = &res.Failures[i]
-			break
-		}
-	}
-	if hit == nil {
-		t.Fatalf("500 seeds found no %s violation (failures: %d)", audit.RuleQueueSurvives, len(res.Failures))
-	}
-	if hit.Shrunk == nil {
-		t.Fatal("no shrunk reproducer")
-	}
-	flows := 0
-	for _, w := range hit.Shrunk.Workloads {
-		flows += w.Flows
-	}
-	if len(hit.Shrunk.Nodes) > 4 || flows > 3 {
-		b, _ := json.Marshal(hit.Shrunk)
-		t.Fatalf("reproducer not minimal: %s\n%s", hit.Shrunk.Size(), b)
-	}
-	// The shrunk scenario must still reproduce on a fresh run.
-	rep := scenario.Run(hit.Shrunk, scenario.Options{})
-	if !rep.HasRule(audit.RuleQueueSurvives) {
-		t.Fatalf("shrunk reproducer does not reproduce: %v", rep.Violations)
-	}
-
-	// Worker-count independence: 1 worker and 4 workers (and a rerun)
-	// find the same failures and shrink them to the same reproducers.
-	for _, again := range []*Result{run(1), run(4)} {
-		if len(again.Failures) != len(res.Failures) {
-			t.Fatalf("failure count differs across runs: %d vs %d", len(again.Failures), len(res.Failures))
-		}
-		for i := range res.Failures {
-			a, b := &res.Failures[i], &again.Failures[i]
-			if a.TrialIndex != b.TrialIndex || a.Seed != b.Seed || a.Rule != b.Rule {
-				t.Fatalf("failure %d differs: (%d,%#x,%s) vs (%d,%#x,%s)",
-					i, a.TrialIndex, a.Seed, a.Rule, b.TrialIndex, b.Seed, b.Rule)
-			}
-			if !reflect.DeepEqual(a.Shrunk, b.Shrunk) {
-				t.Fatalf("failure %d shrunk reproducer differs across runs", i)
-			}
+		if err := on.Validate(); err != nil {
+			t.Fatalf("seed %d: fault-mode scenario invalid: %v", seed, err)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package fuzz is the property-based fuzzing engine over internal/scenario:
 // it draws seed-deterministic random scenarios (topology, link parameters,
-// workloads, failures, MitM taps, Blink deployments), runs each one under
-// the full audit-oracle stack, shrinks every failure to a minimal
-// reproducer, and persists reproducers as corpus entries that replay as
-// regression tests.
+// workloads, failures, MitM taps, Blink deployments), shrinks a failing
+// scenario to a minimal reproducer, and persists reproducers as corpus
+// entries that replay as regression tests. Campaigns — running each drawn
+// scenario under the full audit-oracle stack, in parallel and resumably —
+// are the fuzz job kind of internal/campaign.
 //
 // Everything is a pure function of seeds: scenario i of a campaign depends
 // only on (root seed, i) — never on worker count or scheduling — so a

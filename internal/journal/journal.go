@@ -1,13 +1,11 @@
 // Package journal implements the durable JSONL journal the lab's
-// crash-recovery machinery is built on: the fuzz checkpoint
-// (internal/fuzz) and the campaign service's job store and per-job trial
-// journals (internal/campaign) all share this file format and recovery
-// discipline.
+// crash-recovery machinery is built on: the campaign service's job store
+// and per-job trial journals (internal/campaign, which simfuzz -checkpoint
+// also writes) share this file format and recovery discipline.
 //
 // The format is JSON Lines: the first line is a header binding the file
 // to one logical stream (a campaign configuration, a job store), and
-// every following line is one appended record. The recovery rules, proven
-// out by the PR 5 fuzz checkpoint:
+// every following line is one appended record. The recovery rules:
 //
 //   - a torn final line — the process died mid-append — is silently
 //     dropped: the caller loses at most the in-flight record, which a
@@ -19,7 +17,7 @@
 // Appends are serialized by an internal mutex and written as exactly one
 // line per record, so concurrent appenders interleave at record
 // granularity — never mid-line. That contract is pinned by race-enabled
-// tests here and in internal/fuzz.
+// tests here.
 package journal
 
 import (

@@ -13,13 +13,12 @@ import (
 	"dui/internal/supervisor"
 )
 
-// WriteDefenseEval renders the legacy cmd/defense-eval report (E8): the
+// WriteDefenseEval renders the §5 countermeasure report (E8): the
 // Blink RTO-plausibility supervisor against a genuine failure and the
 // hijack, the Pytheas dedup + MAD-filtering defense against the botnet,
 // and the PCC loss-correlation detector plus the ε clamp against the
 // equalizer. The matrix subsumes these three point evaluations;
-// cmd/defense-eval and cmd/robustness -defense-eval both render through
-// here, byte-identical to what the standalone command always printed.
+// cmd/robustness -defense-eval renders through here.
 //
 // The three sections are independent; workers parallelizes them on the
 // trial runner without changing the output.
